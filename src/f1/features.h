@@ -7,6 +7,7 @@
 #include "f1/audio_synth.h"
 #include "f1/frame_render.h"
 #include "f1/timeline.h"
+#include "kernel/exec_context.h"
 
 namespace cobra::f1 {
 
@@ -79,9 +80,30 @@ struct EvidenceOptions {
 /// synthesize audio -> DSP features + endpointing, keyword spotting over
 /// the phone stream, render frames -> visual cues, then normalize into the
 /// f1–f17 evidence vectors.
+///
+/// The per-clip stages run in fixed clip morsels on up to ctx.threadcnt
+/// workers of the kernel pool, each clip writing its own slot; the replay
+/// state machine is then folded serially in clip order. Every evidence
+/// field is bit-identical at every threadcnt, and no stage holds more than
+/// a few frames per worker. With ctx.trace set, records the spans
+/// extract.audio, extract.kws and extract.visual under ctx.trace_parent.
+RaceEvidence ExtractEvidence(const RaceTimeline& timeline,
+                             const EvidenceOptions& options,
+                             const kernel::ExecContext& ctx);
+/// As above on ExecContext::Hardware().
 RaceEvidence ExtractEvidence(const RaceTimeline& timeline,
                              const EvidenceOptions& options);
 RaceEvidence ExtractEvidence(const RaceTimeline& timeline);
+
+/// Clips (extraction) or frames (OCR) per morsel: small enough that a
+/// 2-minute race yields ~40 units for load balancing, large enough that the
+/// one frame a visual morsel re-renders at its start is noise.
+inline constexpr size_t kExtractMorsel = 32;
+
+/// `ctx` with its morsels set to kExtractMorsel units and no serial cutoff:
+/// extraction is expensive per unit, so any multi-morsel input goes
+/// parallel when ctx.threadcnt > 1.
+kernel::ExecContext ExtractContext(const kernel::ExecContext& ctx);
 
 }  // namespace cobra::f1
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "base/logging.h"
 #include "base/rng.h"
 #include "base/strings.h"
+#include "base/trace.h"
 #include "f1/lexicon.h"
 #include "rules/engine.h"
 #include "text/text_detect.h"
@@ -205,9 +207,17 @@ HighlightResult ExtractHighlights(const AvSeries& series, double threshold,
 std::vector<model::EventRecord> ExtractTextEvents(
     const RaceTimeline& timeline, const FrameRenderer::Options& video,
     double sample_fps) {
+  return ExtractTextEvents(timeline, video, sample_fps,
+                           kernel::ExecContext::Hardware());
+}
+
+std::vector<model::EventRecord> ExtractTextEvents(
+    const RaceTimeline& timeline, const FrameRenderer::Options& video,
+    double sample_fps, const kernel::ExecContext& ctx) {
+  trace::SpanGuard span(ctx.trace, ctx.trace_parent, "extract.text");
   std::vector<model::EventRecord> out;
-  FrameRenderer renderer(timeline, video);
-  text::TextDetector detector;
+  const FrameRenderer renderer(timeline, video);
+  const text::TextDetector detector;
   text::TextRecognizer recognizer(CaptionVocabulary());
 
   const double step = 1.0 / sample_fps;
@@ -263,20 +273,47 @@ std::vector<model::EventRecord> ExtractTextEvents(
     }
   };
 
+  // Sample times by repeated addition, as a serial scan steps through the
+  // video: k * step differs from it in the last bits, and caption bounds
+  // are these exact times.
+  std::vector<double> times;
   for (double t = 0.0; t < timeline.profile.duration_sec; t += step) {
-    const image::Frame frame = renderer.Render(t);
-    if (detector.FrameHasText(frame)) {
-      if (!in_caption) {
-        in_caption = true;
-        caption_begin = t;
+    times.push_back(t);
+  }
+  const kernel::ExecContext frame_ctx = ExtractContext(ctx);
+  const size_t window =
+      static_cast<size_t>(std::max(1, ctx.threadcnt)) * kExtractMorsel;
+  // The caption band of each frame of the window that carries text.
+  std::vector<std::optional<image::Frame>> slots;
+  for (size_t w = 0; w < times.size(); w += window) {
+    const size_t n = std::min(window, times.size() - w);
+    slots.assign(n, std::nullopt);
+    span.Morsels(frame_ctx.NumMorsels(n));
+    kernel::ForEachMorsel(frame_ctx, n, [&](size_t, size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        const image::Frame frame = renderer.Render(times[w + i]);
+        if (detector.FrameHasText(frame)) {
+          slots[i] = detector.CaptionBand(frame);
+        }
       }
-      bands.push_back(detector.CaptionBand(frame));
-    } else if (in_caption) {
-      in_caption = false;
-      finish(t);
+    });
+    for (size_t i = 0; i < n; ++i) {
+      const double t = times[w + i];
+      if (slots[i].has_value()) {
+        if (!in_caption) {
+          in_caption = true;
+          caption_begin = t;
+        }
+        bands.push_back(std::move(*slots[i]));
+      } else if (in_caption) {
+        in_caption = false;
+        finish(t);
+      }
     }
   }
   if (in_caption) finish(timeline.profile.duration_sec);
+  span.RowsIn(times.size());
+  span.RowsOut(out.size());
   return out;
 }
 

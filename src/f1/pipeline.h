@@ -87,6 +87,17 @@ HighlightResult ExtractHighlights(const AvSeries& series,
 /// rendered frames and lifts recognized captions into event-layer records:
 /// "caption" (attrs text/driver) plus derived "pitstop" / "winner" /
 /// "classification" / "retired" events.
+///
+/// Frames are sampled every 1/sample_fps s. Rendering and the per-frame
+/// caption-band test run in frame morsels on up to ctx.threadcnt workers,
+/// one window of threadcnt x kExtractMorsel frames at a time; caption runs,
+/// refinement and recognition are folded serially in frame order, so the
+/// records are identical at every threadcnt. With ctx.trace set, records an
+/// extract.text span under ctx.trace_parent.
+std::vector<model::EventRecord> ExtractTextEvents(
+    const RaceTimeline& timeline, const FrameRenderer::Options& video,
+    double sample_fps, const kernel::ExecContext& ctx);
+/// As above on ExecContext::Hardware().
 std::vector<model::EventRecord> ExtractTextEvents(
     const RaceTimeline& timeline, const FrameRenderer::Options& video,
     double sample_fps = 5.0);

@@ -1,37 +1,40 @@
 #include "video/replay.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "image/histogram.h"
 
 namespace cobra::video {
 
-bool ReplayDetector::IsStripeFrame(
-    const std::vector<double>& column_motion) const {
-  if (column_motion.empty()) return false;
-  std::vector<double> sorted = column_motion;
-  std::sort(sorted.begin(), sorted.end());
-  const double peak = sorted.back();
-  const double median = sorted[sorted.size() / 2];
+bool ReplayDetector::StripePair(const image::Frame& prev,
+                                const image::Frame& cur) const {
+  // Stripe score of the column-motion profile: peak vs median.
+  std::vector<double> columns =
+      image::BlockMotion(prev, cur, options_.grid_columns, 1);
+  if (columns.empty()) return false;
+  std::sort(columns.begin(), columns.end());
+  const double peak = columns.back();
+  const double median = columns[columns.size() / 2];
   return peak > options_.stripe_threshold &&
          median < options_.background_threshold;
 }
 
 bool ReplayDetector::Push(const image::Frame& frame) {
-  bool dve_now = false;
-  if (has_prev_ && frame.width() == prev_.width() &&
-      frame.height() == prev_.height()) {
-    const auto columns =
-        image::BlockMotion(prev_, frame, options_.grid_columns, 1);
-    if (IsStripeFrame(columns)) {
-      ++stripe_run_;
-    } else {
-      stripe_run_ = 0;
-    }
-    dve_now = stripe_run_ >= options_.min_stripe_frames;
-  }
+  const bool paired = has_prev_ && frame.width() == prev_.width() &&
+                      frame.height() == prev_.height();
+  const bool stripe = paired && StripePair(prev_, frame);
   prev_ = frame;
   has_prev_ = true;
+  return PushStripe(paired, stripe);
+}
+
+bool ReplayDetector::PushStripe(bool paired, bool stripe) {
+  bool dve_now = false;
+  if (paired) {
+    stripe_run_ = stripe ? stripe_run_ + 1 : 0;
+    dve_now = stripe_run_ >= options_.min_stripe_frames;
+  }
 
   ++frames_since_dve_;
   if (dve_now) {

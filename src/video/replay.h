@@ -2,7 +2,6 @@
 #define COBRA_VIDEO_REPLAY_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "image/frame.h"
 
@@ -35,7 +34,21 @@ class ReplayDetector {
   ReplayDetector() : ReplayDetector(Options()) {}
 
   /// Feeds the next frame; returns true while inside a replay segment.
+  /// Equivalent to PushStripe(paired, paired && StripePair(prev, frame)),
+  /// where `paired` says a previous frame of the same size exists.
   bool Push(const image::Frame& frame);
+
+  /// The per-frame stripe test: whether the column-motion flow from `prev`
+  /// to `cur` (same size) shows one dominant DVE stripe. Stateless, so
+  /// frame pairs can be tested concurrently and folded in order with
+  /// PushStripe.
+  bool StripePair(const image::Frame& prev, const image::Frame& cur) const;
+
+  /// Advances the replay state machine by one frame. `paired` is false for
+  /// a frame with no same-size predecessor (the first frame, or a size
+  /// change); the stripe run is then left as is and `stripe` is ignored.
+  /// Returns true while inside a replay segment.
+  bool PushStripe(bool paired, bool stripe);
 
   /// True if the last Push saw an active DVE stripe.
   bool dve_active() const { return stripe_run_ >= options_.min_stripe_frames; }
@@ -44,9 +57,6 @@ class ReplayDetector {
   void Reset();
 
  private:
-  /// Stripe score of the column-motion profile: peak vs median.
-  bool IsStripeFrame(const std::vector<double>& column_motion) const;
-
   Options options_;
   image::Frame prev_;
   bool has_prev_ = false;

@@ -10,15 +10,17 @@ namespace cobra::video {
 
 VideoClipFeatures VisualAnalyzer::AnalyzeClip(const image::Frame& first,
                                               const image::Frame& second) {
-  VideoClipFeatures f;
-
-  // Shot and replay trackers see both sampled frames.
-  const bool b1 = shot_detector_.Push(first);
+  // The replay tracker sees both sampled frames.
   replay_detector_.Push(first);
-  const bool b2 = shot_detector_.Push(second);
   const bool replay_now = replay_detector_.Push(second);
-  f.shot_boundary = b1 || b2;
+  VideoClipFeatures f = Cues(first, second);
   f.replay = replay_now ? 1.0 : 0.0;
+  return f;
+}
+
+VideoClipFeatures VisualAnalyzer::Cues(const image::Frame& first,
+                                       const image::Frame& second) const {
+  VideoClipFeatures f;
 
   // f13 / f17: inter-frame change. Color difference is the plain pixel
   // difference; motion aggregates the block-motion histogram (mean of the
@@ -58,9 +60,6 @@ VideoClipFeatures VisualAnalyzer::AnalyzeClip(const image::Frame& first,
   return f;
 }
 
-void VisualAnalyzer::Reset() {
-  shot_detector_.Reset();
-  replay_detector_.Reset();
-}
+void VisualAnalyzer::Reset() { replay_detector_.Reset(); }
 
 }  // namespace cobra::video

@@ -6,7 +6,6 @@
 #include "image/analysis.h"
 #include "image/frame.h"
 #include "video/replay.h"
-#include "video/shot_detection.h"
 
 namespace cobra::video {
 
@@ -19,15 +18,14 @@ struct VideoClipFeatures {
   double dust = 0.0;        // f15: dust cloud fraction cue
   double sand = 0.0;        // f16: gravel-trap sand fraction cue
   double motion = 0.0;      // f17: motion-histogram activity
-  bool shot_boundary = false;
 };
 
-/// Stateful visual front end: feed one frame pair per 0.1 s clip and get the
-/// f12–f17 cues. Shot and replay state carries across clips.
+/// Visual front end: feed one frame pair per 0.1 s clip and get the f12–f17
+/// cues. Only the replay state carries across clips; the other cues are a
+/// function of the clip's own frame pair (Cues).
 class VisualAnalyzer {
  public:
   struct Options {
-    ShotBoundaryDetector::Options shot;
     ReplayDetector::Options replay;
     /// Sand: desaturated warm ochre (high R, mid G, low B).
     image::ColorRange sand_range{.r_min = 150, .r_max = 230,
@@ -46,19 +44,25 @@ class VisualAnalyzer {
     int motion_grid_y = 6;
   };
 
-  explicit VisualAnalyzer(const Options& options) : options_(options),
-        shot_detector_(options.shot), replay_detector_(options.replay) {}
+  explicit VisualAnalyzer(const Options& options)
+      : options_(options), replay_detector_(options.replay) {}
   VisualAnalyzer() : VisualAnalyzer(Options()) {}
 
-  /// Analyzes the clip represented by two frames sampled ~40 ms apart.
+  /// Analyzes the clip represented by two frames sampled ~40 ms apart:
+  /// Cues(first, second) plus both frames pushed through the replay
+  /// detector.
   VideoClipFeatures AnalyzeClip(const image::Frame& first,
                                 const image::Frame& second);
+
+  /// The stateless cues f13–f17 of one clip's frame pair (replay left 0).
+  /// Safe to call concurrently.
+  VideoClipFeatures Cues(const image::Frame& first,
+                         const image::Frame& second) const;
 
   void Reset();
 
  private:
   Options options_;
-  ShotBoundaryDetector shot_detector_;
   ReplayDetector replay_detector_;
 };
 

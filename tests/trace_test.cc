@@ -1,8 +1,9 @@
 // Tests of the tracing/profiling layer: span-tree shape, the stable JSON
 // schema (round-tripped through the strict validator), hand-computed
 // operator counters, the zero-allocation guarantee of the disabled path,
-// the MIL `trace` statement, and PROFILE queries (including the from_cache
-// contract for results served from the engine's cache).
+// the MIL `trace` statement, PROFILE queries (including the from_cache
+// contract for results served from the engine's cache), and the feature
+// extraction spans of the f1 pipeline.
 
 #include <map>
 #include <string>
@@ -13,6 +14,8 @@
 #include "base/trace.h"
 #include "cobra/video_model.h"
 #include "extensions/extension.h"
+#include "f1/features.h"
+#include "f1/pipeline.h"
 #include "kernel/bat.h"
 #include "kernel/catalog.h"
 #include "kernel/exec_context.h"
@@ -256,6 +259,63 @@ TEST(KernelTraceTest, DisabledSinkAllocatesNoSpans) {
   std::vector<size_t> reps;
   (void)kernel::Group(bat, &reps, ctx);
   ASSERT_TRUE(bat.SelectEq(Value::Int(3)).ok());
+  EXPECT_EQ(trace::SpansAllocated(), before);
+}
+
+// -- Feature extraction ------------------------------------------------------
+
+/// A 10-s broadcast (100 clips) with one caption.
+f1::RaceTimeline TinyRace() {
+  f1::RaceTimeline race;
+  race.profile.duration_sec = 10.0;
+  race.events.push_back(
+      {"caption", 2.0, 6.0, {{"text", "LEADER HILL"}, {"driver", "HILL"}}});
+  return race;
+}
+
+TEST(ExtractTraceTest, SpansNestUnderParentWithCounts) {
+  const f1::RaceTimeline race = TinyRace();
+  trace::TraceSink sink;
+  ExecContext ctx;
+  ctx.threadcnt = 2;
+  ctx.trace = &sink;
+  ctx.trace_parent = sink.StartSpan(nullptr, "ingest");
+  (void)f1::ExtractEvidence(race, f1::EvidenceOptions(), ctx);
+  const auto text =
+      f1::ExtractTextEvents(race, f1::FrameRenderer::Options(), 5.0, ctx);
+  ASSERT_EQ(sink.root_count(), 1u);
+  const auto& spans = sink.roots()[0]->children;
+  ASSERT_EQ(spans.size(), 4u);
+  // 100 clips in 32-clip morsels. OCR samples 51 frames, not 50: the
+  // sample time steps by repeated addition of 0.2 s, which after 50 steps
+  // lands just below 10.0. They fit one 64-frame window.
+  EXPECT_EQ(spans[0]->name, "extract.audio");
+  EXPECT_EQ(spans[0]->rows_in, 100u);
+  EXPECT_EQ(spans[0]->morsels, 4u);
+  EXPECT_EQ(spans[1]->name, "extract.kws");
+  EXPECT_EQ(spans[1]->rows_in, 100u);
+  EXPECT_EQ(spans[2]->name, "extract.visual");
+  EXPECT_EQ(spans[2]->rows_in, 100u);
+  EXPECT_EQ(spans[2]->morsels, 4u);
+  EXPECT_EQ(spans[2]->detail, "frames=200");
+  EXPECT_EQ(spans[3]->name, "extract.text");
+  EXPECT_EQ(spans[3]->rows_in, 51u);
+  EXPECT_EQ(spans[3]->morsels, 2u);
+  EXPECT_EQ(spans[3]->rows_out, text.size());
+  EXPECT_FALSE(text.empty());
+  for (const auto& span : spans) {
+    EXPECT_GT(span->seconds, 0.0) << span->name;
+    EXPECT_TRUE(span->children.empty()) << span->name;
+  }
+}
+
+TEST(ExtractTraceTest, NoSinkRecordsNoSpans) {
+  const f1::RaceTimeline race = TinyRace();
+  ExecContext ctx;
+  ctx.threadcnt = 2;
+  const uint64_t before = trace::SpansAllocated();
+  (void)f1::ExtractEvidence(race, f1::EvidenceOptions(), ctx);
+  (void)f1::ExtractTextEvents(race, f1::FrameRenderer::Options(), 5.0, ctx);
   EXPECT_EQ(trace::SpansAllocated(), before);
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "base/rng.h"
+#include "f1/frame_render.h"
 #include "image/draw.h"
 #include "video/replay.h"
 #include "video/shot_detection.h"
@@ -100,6 +104,82 @@ TEST(ReplayTest, TimeoutForceCloses) {
   }
   for (int i = 0; i < 40; ++i) detector.Push(base);
   EXPECT_FALSE(detector.in_replay());
+}
+
+/// Frames of a rendered 12-s broadcast at 25 fps from 2 s to 9.5 s, across
+/// a replay [3 s, 8 s) and so across both DVE wipes that bracket it. Frame
+/// `odd_one` is cropped to another size.
+std::vector<image::Frame> RenderedReplay(size_t odd_one) {
+  f1::RaceTimeline race;
+  race.profile.duration_sec = 12.0;
+  race.events.push_back({"replay", 3.0, 8.0, {{"source", "flyout"}}});
+  const f1::FrameRenderer renderer(race);
+  std::vector<image::Frame> frames;
+  for (int i = 50; i < 238; ++i) frames.push_back(renderer.Render(i / 25.0));
+  image::Frame& odd = frames.at(odd_one);
+  odd = odd.Crop(0, 0, odd.width() / 2, odd.height());
+  return frames;
+}
+
+TEST(ReplayTest, PushIsStripePairFoldedByPushStripe) {
+  const std::vector<image::Frame> frames = RenderedReplay(100);
+  ReplayDetector whole;
+  ReplayDetector split;
+  size_t unpaired = 0;
+  size_t replay_frames = 0;
+  size_t edges = 0;
+  bool was_in_replay = false;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const image::Frame& cur = frames[i];
+    const bool paired = i > 0 && frames[i - 1].width() == cur.width() &&
+                        frames[i - 1].height() == cur.height();
+    const bool stripe = paired && split.StripePair(frames[i - 1], cur);
+    const bool want = whole.Push(cur);
+    EXPECT_EQ(split.PushStripe(paired, stripe), want) << "frame " << i;
+    EXPECT_EQ(split.dve_active(), whole.dve_active()) << "frame " << i;
+    EXPECT_EQ(split.in_replay(), whole.in_replay()) << "frame " << i;
+    unpaired += !paired;
+    replay_frames += want;
+    edges += want != was_in_replay;
+    was_in_replay = want;
+  }
+  // The first frame, the odd-sized one and the frame after it.
+  EXPECT_EQ(unpaired, 3u);
+  // Both wipes were seen: the replay opened and closed.
+  EXPECT_EQ(edges, 2u);
+  EXPECT_GT(replay_frames, 100u);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+TEST(VisualAnalyzerTest, AnalyzeClipIsCuesPlusReplayPushes) {
+  // Clip pairs 40 ms apart across the replay: every cue equals Cues() to
+  // the bit and the replay flag follows a detector fed both frames.
+  const std::vector<image::Frame> frames = RenderedReplay(0);
+  VisualAnalyzer analyzer;
+  ReplayDetector replay;
+  bool saw_replay = false;
+  for (size_t i = 1; i + 1 < frames.size(); i += 2) {
+    const image::Frame& a = frames[i];
+    const image::Frame& b = frames[i + 1];
+    const VideoClipFeatures got = analyzer.AnalyzeClip(a, b);
+    const VideoClipFeatures cues = analyzer.Cues(a, b);
+    replay.Push(a);
+    const bool in_replay = replay.Push(b);
+    EXPECT_EQ(got.replay, in_replay ? 1.0 : 0.0) << "pair " << i;
+    EXPECT_EQ(cues.replay, 0.0);
+    EXPECT_EQ(Bits(got.color_diff), Bits(cues.color_diff)) << "pair " << i;
+    EXPECT_EQ(Bits(got.semaphore), Bits(cues.semaphore)) << "pair " << i;
+    EXPECT_EQ(Bits(got.dust), Bits(cues.dust)) << "pair " << i;
+    EXPECT_EQ(Bits(got.sand), Bits(cues.sand)) << "pair " << i;
+    EXPECT_EQ(Bits(got.motion), Bits(cues.motion)) << "pair " << i;
+    saw_replay |= in_replay;
+  }
+  EXPECT_TRUE(saw_replay);
 }
 
 TEST(VisualAnalyzerTest, SemaphoreCue) {
